@@ -127,12 +127,14 @@ serve-smoke:
 
 # Kernel and measure micro-benchmarks (the set CI archives per PR),
 # including the retained pre-PR k-NN loop for speedup comparison, plus the
-# downstream-training benchmarks (fast vs retained reference trainers) and
-# the grid-cell benchmark with allocation counts.
+# downstream-training benchmarks (fast vs retained reference trainers),
+# the grid-cell benchmark with allocation counts, and the packed-code
+# kernel at bits 1/2/4/8 x 1/2/8/64 query rows with -benchmem.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMulATB|BenchmarkMulABT|BenchmarkKNNMeasure|BenchmarkSVD|BenchmarkEigenspaceInstability|BenchmarkPIPLoss|BenchmarkSemanticDisplacement|BenchmarkQuantize' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkKNNMeasureReference3000' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkTrainLinearBOW|BenchmarkNERTrain|BenchmarkGridCell' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkMulABTIntoLUT' -benchmem ./internal/matrix
 	$(GO) test -run '^$$' -bench 'BenchmarkNeighborsServe|BenchmarkNeighborsPrecision' -benchtime 3x ./internal/query | tee BENCH_query.txt
 	$(GO) run ./cmd/benchjson -o BENCH_query.json < BENCH_query.txt
 	@rm -f BENCH_query.txt

@@ -24,7 +24,22 @@ type Embedding struct {
 	Words []string
 	// Meta records how the embedding was produced.
 	Meta Meta
+
+	// codes is the packed b-bit form Vectors was decoded from, when the
+	// embedding came from a quantized binary artifact (see PackedCodes).
+	// It is unexported so no encoding ever carries it.
+	codes *matrix.Codes
 }
+
+// PackedCodes returns the packed b-bit codes the embedding was decoded
+// from, or nil. When present they encode Vectors exactly over the level
+// grid of (Meta.Clip, Meta.Precision), so a reader can serve them without
+// packing Vectors again. Treat them as read-only.
+func (e *Embedding) PackedCodes() *matrix.Codes { return e.codes }
+
+// SetPackedCodes records c as the packed form of Vectors. The caller
+// guarantees c decodes to Vectors bit for bit; AlignTo drops it.
+func (e *Embedding) SetPackedCodes(c *matrix.Codes) { e.codes = c }
 
 // Meta describes an embedding's provenance, used for caching and reporting.
 type Meta struct {
@@ -98,6 +113,7 @@ func (e *Embedding) AlignTo(ref *Embedding) {
 	}
 	r := matrix.Procrustes(ref.Vectors, e.Vectors)
 	e.Vectors = matrix.Mul(e.Vectors, r)
+	e.codes = nil
 }
 
 // AlignTagged aligns e to ref with orthogonal Procrustes and marks e's

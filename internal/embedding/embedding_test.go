@@ -133,3 +133,31 @@ func TestMetaString(t *testing.T) {
 		t.Fatalf("Meta.String = %q", m.String())
 	}
 }
+
+// TestPackedCodesNotCarriedPastChange: the packed form describes Vectors
+// as decoded, so neither a rotation nor either encoding's round trip may
+// hand it on.
+func TestPackedCodesNotCarriedPastChange(t *testing.T) {
+	e := New(2, 2)
+	e.Vectors.Data = []float64{-1, 1, 1, -1}
+	codes, err := matrix.NewCodesFromDense(e.Vectors, []float64{-1, 1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetPackedCodes(codes)
+	var buf bytes.Buffer
+	if err := e.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.PackedCodes() != nil || e.Clone().PackedCodes() != nil {
+		t.Fatal("packed codes survived a gob round trip or a clone")
+	}
+	e.AlignTo(randomEmbedding(2, 2, 1))
+	if e.PackedCodes() != nil {
+		t.Fatal("packed codes survived AlignTo")
+	}
+}

@@ -14,6 +14,7 @@ import (
 // override the map to point at fixture sinks.
 var TaintSinks = map[string]string{
 	"anchor/internal/store.WriteBinary":         "artifact bytes",
+	"anchor/internal/store.writeBinary":         "artifact bytes",
 	"anchor/internal/store.SaveBinaryFile":      "artifact bytes",
 	"(*anchor/internal/serve.Server).writeJSON": "the HTTP response encoding",
 }

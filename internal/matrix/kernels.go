@@ -157,73 +157,80 @@ func MulABTInto(dst, a, b *Dense, workers int) *Dense {
 		// Tile b's rows so a tile is scored against every row of the band
 		// while cache-hot.
 		for j0 := 0; j0 < b.Rows; j0 += abtJBlock {
-			j1 := j0 + abtJBlock
-			if j1 > b.Rows {
-				j1 = b.Rows
-			}
-			i := band.Lo
-			for ; i+4 <= band.Hi; i += 4 {
-				a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
-				o0, o1, o2, o3 := dst.Row(i), dst.Row(i+1), dst.Row(i+2), dst.Row(i+3)
-				j := j0
-				for ; j+2 <= j1; j += 2 {
-					b0 := b.Row(j)
-					// Reslicing to b0's length eliminates bounds checks in
-					// the hot loop below.
-					b1 := b.Row(j + 1)[:len(b0):len(b0)]
-					x0, x1, x2, x3 := a0[:len(b0):len(b0)], a1[:len(b0):len(b0)], a2[:len(b0):len(b0)], a3[:len(b0):len(b0)]
-					var s00, s01, s10, s11, s20, s21, s30, s31 float64
-					for k, bv0 := range b0 {
-						bv1 := b1[k]
-						v0, v1, v2, v3 := x0[k], x1[k], x2[k], x3[k]
-						s00 += v0 * bv0
-						s01 += v0 * bv1
-						s10 += v1 * bv0
-						s11 += v1 * bv1
-						s20 += v2 * bv0
-						s21 += v2 * bv1
-						s30 += v3 * bv0
-						s31 += v3 * bv1
-					}
-					o0[j], o0[j+1] = s00, s01
-					o1[j], o1[j+1] = s10, s11
-					o2[j], o2[j+1] = s20, s21
-					o3[j], o3[j+1] = s30, s31
-				}
-				for ; j < j1; j++ {
-					brow := b.Row(j)
-					var s0, s1, s2, s3 float64
-					for k, bv := range brow {
-						s0 += a0[k] * bv
-						s1 += a1[k] * bv
-						s2 += a2[k] * bv
-						s3 += a3[k] * bv
-					}
-					o0[j], o1[j], o2[j], o3[j] = s0, s1, s2, s3
-				}
-			}
-			for ; i < band.Hi; i++ {
-				arow := a.Row(i)
-				orow := dst.Row(i)
-				j := j0
-				for ; j+4 <= j1; j += 4 {
-					b0, b1, b2, b3 := b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3)
-					var s0, s1, s2, s3 float64
-					for k, av := range arow {
-						s0 += av * b0[k]
-						s1 += av * b1[k]
-						s2 += av * b2[k]
-						s3 += av * b3[k]
-					}
-					orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-				}
-				for ; j < j1; j++ {
-					orow[j] = floats.Dot(arow, b.Row(j))
-				}
-			}
+			j1 := min(j0+abtJBlock, b.Rows)
+			abtTile(dst, a, band.Lo, band.Hi, &Dense{Rows: j1 - j0, Cols: b.Cols, Data: b.Data[j0*b.Cols : j1*b.Cols]}, j0)
 		}
 	})
 	return dst
+}
+
+// abtTile is MulABTInto's micro-kernel: it scores a's rows [lo, hi)
+// against the tile bt, whose row t holds b's row j0+t, writing dst
+// columns [j0, j0+bt.Rows). The packed-code kernel runs it on tiles it
+// has just decoded to float64.
+func abtTile(dst, a *Dense, lo, hi int, bt *Dense, j0 int) {
+	j1 := j0 + bt.Rows
+	brow := func(j int) []float64 { return bt.Row(j - j0) }
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
+		o0, o1, o2, o3 := dst.Row(i), dst.Row(i+1), dst.Row(i+2), dst.Row(i+3)
+		j := j0
+		for ; j+2 <= j1; j += 2 {
+			b0 := brow(j)
+			// Reslicing to b0's length eliminates bounds checks in the
+			// hot loop below.
+			b1 := brow(j + 1)[:len(b0):len(b0)]
+			x0, x1, x2, x3 := a0[:len(b0):len(b0)], a1[:len(b0):len(b0)], a2[:len(b0):len(b0)], a3[:len(b0):len(b0)]
+			var s00, s01, s10, s11, s20, s21, s30, s31 float64
+			for k, bv0 := range b0 {
+				bv1 := b1[k]
+				v0, v1, v2, v3 := x0[k], x1[k], x2[k], x3[k]
+				s00 += v0 * bv0
+				s01 += v0 * bv1
+				s10 += v1 * bv0
+				s11 += v1 * bv1
+				s20 += v2 * bv0
+				s21 += v2 * bv1
+				s30 += v3 * bv0
+				s31 += v3 * bv1
+			}
+			o0[j], o0[j+1] = s00, s01
+			o1[j], o1[j+1] = s10, s11
+			o2[j], o2[j+1] = s20, s21
+			o3[j], o3[j+1] = s30, s31
+		}
+		for ; j < j1; j++ {
+			b0 := brow(j)
+			var s0, s1, s2, s3 float64
+			for k, bv := range b0 {
+				s0 += a0[k] * bv
+				s1 += a1[k] * bv
+				s2 += a2[k] * bv
+				s3 += a3[k] * bv
+			}
+			o0[j], o1[j], o2[j], o3[j] = s0, s1, s2, s3
+		}
+	}
+	for ; i < hi; i++ {
+		arow := a.Row(i)
+		orow := dst.Row(i)
+		j := j0
+		for ; j+4 <= j1; j += 4 {
+			b0, b1, b2, b3 := brow(j), brow(j+1), brow(j+2), brow(j+3)
+			var s0, s1, s2, s3 float64
+			for k, av := range arow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < j1; j++ {
+			orow[j] = floats.Dot(arow, brow(j))
+		}
+	}
 }
 
 func checkDst(dst *Dense, rows, cols int) {

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -116,16 +117,33 @@ func TestNewCodesFromDenseRejectsOffGrid(t *testing.T) {
 	if _, err := NewCodesFromDense(m, []float64{-1, 1}, 1); err == nil {
 		t.Fatal("expected error for off-grid value")
 	}
+	m.Data = []float64{0, 0, 0, 0}
+	if _, err := NewCodesFromDense(m, []float64{0, 0}, 1); err == nil {
+		t.Fatal("expected error for a level table that is not strictly ascending")
+	}
 }
 
 // TestMulABTIntoLUTGoldenBitEquality: LUT scoring of packed codes must be
 // bitwise identical to the float64 kernel against the dequantized rows,
-// for every bit width, worker count, and shape.
+// for every bit width, worker count, and shape. The shape grid straddles
+// the candidate tile (n around 64 and two tiles plus one), the
+// four-query switch between table lookup and tile decode, and the
+// four-candidate interleave with its remainders; the two wide shapes
+// carry enough work to take the parallel path.
 func TestMulABTIntoLUTGoldenBitEquality(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for _, bits := range []int{1, 2, 3, 4, 5, 7, 8} {
-		for _, sh := range []struct{ m, n, d int }{{1, 1, 1}, {3, 9, 13}, {6, 70, 32}} {
-			codes := randCodes(sh.n, sh.d, bits, int64(bits*1000+sh.n))
+	type shape struct{ m, n, d int }
+	shapes := []shape{{1, 1, 1}, {3, 9, 13}, {6, 70, 32}, {1, 400, 100}, {5, 400, 100}}
+	for _, n := range []int{63, 64, 65, 130} {
+		for _, m := range []int{1, 2, 3, 4, 5, 8} {
+			for _, d := range []int{1, 7, 13, 100} {
+				shapes = append(shapes, shape{m, n, d})
+			}
+		}
+	}
+	for bits := 1; bits <= 8; bits++ {
+		for _, sh := range shapes {
+			codes := randCodes(sh.n, sh.d, bits, int64(bits*1000+sh.n+sh.d))
 			q := NewDense(sh.m, sh.d)
 			for i := range q.Data {
 				q.Data[i] = rng.NormFloat64()
@@ -133,8 +151,88 @@ func TestMulABTIntoLUTGoldenBitEquality(t *testing.T) {
 			want := MulABTWorkers(q, codes.Dense(), 1)
 			for _, workers := range []int{1, 2, 3, 8} {
 				got := MulABTIntoLUT(NewDense(sh.m, sh.n), q, codes, workers)
-				sameBits(t, got, want, "MulABTIntoLUT")
+				sameBits(t, got, want, fmt.Sprintf("MulABTIntoLUT bits=%d %dx%dx%d workers=%d", bits, sh.m, sh.n, sh.d, workers))
 			}
+		}
+	}
+}
+
+// TestMulABTIntoLUTAllocs: a warm single-query call on one worker runs
+// entirely from pooled scratch — the 8-bit product table included.
+func TestMulABTIntoLUTAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	codes := randCodes(1000, 100, 8, 3)
+	q := NewDense(1, 100)
+	codes.DequantizeRow(7, q.Row(0))
+	dst := NewDense(1, codes.Rows)
+	if allocs := testing.AllocsPerRun(50, func() { MulABTIntoLUT(dst, q, codes, 1) }); allocs != 0 {
+		t.Fatalf("MulABTIntoLUT allocates %v times per warm call, want 0", allocs)
+	}
+}
+
+func TestLevelIndex(t *testing.T) {
+	for bits := 1; bits <= 8; bits++ {
+		lv := randLevels(bits, 0.37)
+		for want, v := range lv {
+			if got, ok := levelIndex(lv, v); !ok || got != want {
+				t.Fatalf("bits=%d: levelIndex(level %d) = %d, %v", bits, want, got, ok)
+			}
+		}
+		for _, v := range []float64{-1, 1, (lv[0] + lv[1]) / 2, math.NaN(), math.Inf(1), math.Inf(-1), math.Nextafter(lv[1], 0)} {
+			if _, ok := levelIndex(lv, v); ok {
+				t.Fatalf("bits=%d: off-grid %v reported on the grid", bits, v)
+			}
+		}
+	}
+	// A non-uniform table falls back to search.
+	lv := []float64{-3, -1, 0, 5}
+	for want, v := range lv {
+		if got, ok := levelIndex(lv, v); !ok || got != want {
+			t.Fatalf("non-uniform: levelIndex(%v) = %d, %v", v, got, ok)
+		}
+	}
+}
+
+func TestCheckPadding(t *testing.T) {
+	for bits := 1; bits <= 8; bits++ {
+		for _, cols := range []int{1, 3, 8, 13} {
+			c := randCodes(4, cols, bits, int64(bits+cols))
+			if err := c.CheckPadding(); err != nil {
+				t.Fatalf("bits=%d cols=%d: canonical codes rejected: %v", bits, cols, err)
+			}
+			if cols*bits%8 == 0 {
+				continue
+			}
+			c.Data[3*c.RowBytes-1] |= 0x80
+			if err := c.CheckPadding(); err == nil {
+				t.Fatalf("bits=%d cols=%d: flipped pad bit accepted", bits, cols)
+			}
+		}
+	}
+}
+
+// BenchmarkMulABTIntoLUT scores query blocks of 1, 2, 8 and 64 rows
+// against |V| = 10k packed rows at d = 100 (the serving shape), one
+// worker, at bits 1, 2, 4 and 8 — both sides of the four-query switch.
+func BenchmarkMulABTIntoLUT(b *testing.B) {
+	const n, d = 10000, 100
+	for _, bits := range []int{1, 2, 4, 8} {
+		codes := randCodes(n, d, bits, int64(bits))
+		for _, m := range []int{1, 2, 8, 64} {
+			q := NewDense(m, d)
+			for i := 0; i < m; i++ {
+				codes.DequantizeRow(i, q.Row(i))
+			}
+			dst := NewDense(m, n)
+			b.Run(fmt.Sprintf("bits=%d/rows=%d", bits, m), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					MulABTIntoLUT(dst, q, codes, 1)
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*m), "us/query")
+			})
 		}
 	}
 }

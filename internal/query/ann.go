@@ -167,7 +167,7 @@ func (e *Engine) annCompute(s *snapshot, ix *ann.Index, reqs []*neighborReq, npr
 //
 //   - float64: a dot of two normalized rows, the same single-accumulator
 //     ascending loop as every element of the blocked kernel;
-//   - codes/float32: the raw-row dot the LUT/widening kernel computes
+//   - codes/float32: the raw-row dot the packed/widening kernel computes
 //     (dequantized or widened per element in ascending order), scaled by
 //     (dot·invQ)·invJ in scaleSims's fixed order.
 func (s *snapshot) annSim(id int) (qprobe []float64, sim func(int32) float64) {

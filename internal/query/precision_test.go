@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"anchor/internal/compress"
 	"anchor/internal/embedding"
 	"anchor/internal/floats"
+	"anchor/internal/store"
 )
 
 // quantFixtureSource derives quantized snapshots from fixtureSource's
@@ -228,5 +230,88 @@ func TestQuantizedRefsAreDistinctSnapshots(t *testing.T) {
 	}
 	if st := eng.Stats(); st.SnapshotLoads != 2 {
 		t.Fatalf("loads = %d, want 2 distinct snapshots", st.SnapshotLoads)
+	}
+}
+
+// TestQuantizedRestartFromBinaryBitEqual: after a restart, a b-bit
+// snapshot comes from the store's binary artifact, whose packed payload
+// goes resident as it is. It must answer bitwise like the snapshot built
+// from the recompute path (which packs the rows itself) and report the
+// same resident bytes.
+func TestQuantizedRestartFromBinaryBitEqual(t *testing.T) {
+	const rows, k = 90, 7 // more rows than one kernel tile
+	recompute := quantFixtureSource(rows)
+	ctx := context.Background()
+	dir := t.TempDir()
+	key := func(ref Ref) store.Key {
+		return store.Key{Algo: ref.Algo, Corpus: fmt.Sprintf("wiki%d", ref.Year%100), Dim: ref.Dim, Seed: ref.Seed, Bits: ref.Bits}
+	}
+	storeSource := func(st *store.Store, loaded map[Ref]*embedding.Embedding) Source {
+		return func(ctx context.Context, ref Ref) (*embedding.Embedding, error) {
+			e, err := st.Get(key(ref), true, func() (*embedding.Embedding, error) { return recompute(ctx, ref) })
+			loaded[ref] = e
+			return e, err
+		}
+	}
+	words := make([]string, rows)
+	for i := range words {
+		words[i] = fmt.Sprintf("w%03d", i)
+	}
+	refs := []Ref{}
+	for _, bits := range []int{1, 2, 4, 8} {
+		refs = append(refs, Ref{Algo: "cbow", Year: 2018, Dim: 13, Seed: 5, Bits: bits})
+	}
+
+	// First process: every artifact is computed and persisted.
+	first, err := store.Open(dir, len(refs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	computed := map[Ref]*embedding.Embedding{}
+	before := New(storeSource(first, computed), WithWindow(0))
+	// Second process: a fresh store over the same directory.
+	second, err := store.Open(dir, len(refs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted := map[Ref]*embedding.Embedding{}
+	after := New(storeSource(second, restarted), WithWindow(0))
+
+	for _, ref := range refs {
+		want, err := before.NeighborsBatch(ctx, ref, words, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := after.NeighborsBatch(ctx, ref, words, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := range words {
+			neighborsEqualBits(t, fmt.Sprintf("bits=%d restarted", ref.Bits), got[id], want[id])
+			single, err := after.Neighbors(ctx, ref, words[id], k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			neighborsEqualBits(t, fmt.Sprintf("bits=%d restarted singleton", ref.Bits), single, want[id])
+		}
+		if computed[ref].PackedCodes() != nil {
+			t.Fatalf("bits=%d: recomputed artifact carries codes", ref.Bits)
+		}
+		carried := restarted[ref].PackedCodes()
+		if carried == nil {
+			t.Fatalf("bits=%d: binary artifact carries no codes", ref.Bits)
+		}
+		after.mu.Lock()
+		resident := after.items[ref].Value.(*snapshot).codes
+		after.mu.Unlock()
+		if resident != carried {
+			t.Fatalf("bits=%d: restarted snapshot packed its rows again instead of using the artifact's codes", ref.Bits)
+		}
+	}
+	if st := second.Stats(); st.DiskHits != int64(len(refs)) || st.Computes != 0 {
+		t.Fatalf("restarted store: %+v, want %d disk hits and no computes", st, len(refs))
+	}
+	if got, want := after.Resident(), before.Resident(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resident snapshots after restart %+v, want %+v", got, want)
 	}
 }

@@ -16,7 +16,8 @@
 //     rows L2-normalized once (cosine becomes a dot product) plus a
 //     word → row index. Quantized snapshots stay compact: b<=8-bit
 //     artifacts keep their packed codes resident (8-16x more snapshots
-//     per byte of budget) and score through the decode-free LUT kernel;
+//     per byte of budget; a binary artifact's payload goes resident as
+//     it is) and score through the packed-code kernel;
 //     float32-exact artifacts keep float32 rows and score through the
 //     widening float32 kernel. Compact modes score raw-row dot products
 //     and scale by precomputed inverse norms afterwards, an order fixed so
@@ -40,6 +41,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -301,7 +303,7 @@ const (
 	// artifacts) plus per-row inverse norms; scoring widens on the fly.
 	precFloat32
 	// precCodes keeps raw rows as packed b-bit codes plus per-row inverse
-	// norms; scoring is the decode-free LUT kernel.
+	// norms; scoring is the packed-code kernel (MulABTIntoLUT).
 	precCodes
 )
 
@@ -438,10 +440,15 @@ func (e *Engine) load(ctx context.Context, ref Ref) (*snapshot, error) {
 	}
 	b := emb.Meta.Precision
 	if b >= 1 && b <= 8 && emb.Meta.Clip > 0 {
-		if codes, err := matrix.NewCodesFromDense(emb.Vectors, compress.Levels(emb.Meta.Clip, b), b); err == nil {
+		if codes := residentCodes(emb, compress.Levels(emb.Meta.Clip, b)); codes != nil {
 			s.mode = precCodes
 			s.codes = codes
-			s.inv = invNorms(s.rows, s.dim, e.workers, codes.DequantizeRow)
+			// The codes decode to emb.Vectors bit for bit (the .bin
+			// decode produced Vectors from them; the recompute path packs
+			// only on-grid values), so the norms read Vectors directly.
+			s.inv = invNorms(s.rows, s.dim, e.workers, func(i int, dst []float64) {
+				copy(dst, emb.Vectors.Row(i))
+			})
 		}
 	}
 	if s.mode == precFloat64 && b >= 1 && b < 32 && matrix.Float32Exact(emb.Vectors.Data) {
@@ -473,6 +480,23 @@ func (e *Engine) load(ctx context.Context, ref Ref) (*snapshot, error) {
 		}
 	}
 	return s, nil
+}
+
+// residentCodes returns emb's rows as packed codes over levels, or nil
+// when they are not on that grid. An embedding decoded from a quantized
+// binary artifact carries its payload as codes already, and they are
+// used as they are; any other embedding (recomputed, or read from the
+// gob encoding) is packed here.
+func residentCodes(emb *embedding.Embedding, levels []float64) *matrix.Codes {
+	b := emb.Meta.Precision
+	if c := emb.PackedCodes(); c != nil && c.Rows == emb.Rows() && c.Cols == emb.Dim() && c.Bits == b && slices.Equal(c.Levels, levels) {
+		return c
+	}
+	codes, err := matrix.NewCodesFromDense(emb.Vectors, levels, b)
+	if err != nil {
+		return nil
+	}
+	return codes
 }
 
 // loadSource pulls ref through the source under the bounded-backoff
@@ -795,8 +819,8 @@ func (e *Engine) compute(s *snapshot, reqs []*neighborReq) {
 	var sb *matrix.Dense
 	switch s.mode {
 	case precCodes:
-		// Query rows dequantize to their exact raw float64 values; the LUT
-		// kernel then scores them against the packed rows decode-free.
+		// Query rows dequantize to their exact raw float64 values; the
+		// packed-code kernel then scores them against the packed rows.
 		var qb *matrix.Dense
 		qb, sb = sc.blocks(len(reqs), d, n)
 		for i, r := range reqs {

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"strings"
 	"unsafe"
 
@@ -176,16 +175,19 @@ func quantGrid(e *embedding.Embedding) []float64 {
 	return compress.Levels(e.Meta.Clip, b)
 }
 
-// onGrid reports whether every value of data is exactly one of the
-// ascending levels.
-func onGrid(data []float64, levels []float64) bool {
-	for _, v := range data {
-		i := sort.SearchFloat64s(levels, v)
-		if i >= len(levels) || levels[i] != v {
-			return false
+// pickKind returns the smallest element kind that stores e losslessly
+// and, for the quantized kind, e's rows packed as codes: one packing pass
+// both decides the kind and produces the payload the writer streams.
+func pickKind(e *embedding.Embedding) (ElemKind, *matrix.Codes) {
+	if lv := quantGrid(e); lv != nil {
+		if codes, err := matrix.NewCodesFromDense(e.Vectors, lv, e.Meta.Precision); err == nil {
+			return Quantized, codes
 		}
 	}
-	return true
+	if matrix.Float32Exact(e.Vectors.Data) {
+		return Float32, nil
+	}
+	return Float64, nil
 }
 
 // PickKind returns the smallest element kind that stores e losslessly:
@@ -194,13 +196,15 @@ func onGrid(data []float64, levels []float64) bool {
 // value is float32-representable, float64 otherwise. Artifacts written
 // with the picked kind decode to bitwise identical embeddings.
 func PickKind(e *embedding.Embedding) ElemKind {
-	if lv := quantGrid(e); lv != nil && onGrid(e.Vectors.Data, lv) {
-		return Quantized
-	}
-	if matrix.Float32Exact(e.Vectors.Data) {
-		return Float32
-	}
-	return Float64
+	kind, _ := pickKind(e)
+	return kind
+}
+
+// writePicked writes e to w with the kind PickKind would choose, packing
+// quantized rows once.
+func writePicked(w io.Writer, e *embedding.Embedding) error {
+	kind, codes := pickKind(e)
+	return writeBinary(w, e, kind, codes)
 }
 
 // WriteBinary writes e to w in the binary artifact format with the given
@@ -210,7 +214,6 @@ func WriteBinary(w io.Writer, e *embedding.Embedding, kind ElemKind) error {
 		return fmt.Errorf("store: unknown element kind %d", kind)
 	}
 	var codes *matrix.Codes
-	codeBits := 0
 	if kind == Quantized {
 		lv := quantGrid(e)
 		if lv == nil {
@@ -222,6 +225,15 @@ func WriteBinary(w io.Writer, e *embedding.Embedding, kind ElemKind) error {
 		if err != nil {
 			return fmt.Errorf("store: quantized kind: %w", err)
 		}
+	}
+	return writeBinary(w, e, kind, codes)
+}
+
+// writeBinary is WriteBinary with the quantized payload already packed
+// (codes is non-nil exactly for the quantized kind).
+func writeBinary(w io.Writer, e *embedding.Embedding, kind ElemKind, codes *matrix.Codes) error {
+	codeBits := 0
+	if kind == Quantized {
 		codeBits = e.Meta.Precision
 	}
 	algo, corp := []byte(e.Meta.Algorithm), []byte(e.Meta.Corpus)
@@ -328,7 +340,9 @@ func writePayload(w io.Writer, data []float64, kind ElemKind) error {
 // directly (zero copy) — the caller must keep data immutable and alive for
 // the embedding's lifetime (os.ReadFile allocations satisfy this; for
 // mmap, see MapBinaryFile). Other payloads decode through one bulk
-// allocation; nothing is allocated per row either way.
+// allocation; nothing is allocated per row either way. A quantized
+// payload is also returned as the embedding's PackedCodes, in a copy of
+// its own; rows whose padding bits are not zero are ErrCorrupt.
 func DecodeBinary(data []byte) (*embedding.Embedding, error) {
 	if len(data) < binHeaderLenV1 {
 		return nil, corruptf("truncated: %d bytes < %d-byte header", len(data), binHeaderLenV1)
@@ -373,6 +387,10 @@ func DecodeBinary(data []byte) (*embedding.Embedding, error) {
 		if !(clip > 0) || math.IsInf(clip, 0) || math.IsNaN(clip) {
 			return nil, corruptf("quantized clip %v", clip)
 		}
+		if err := matrix.CheckLevels(codeBits, compress.Levels(clip, codeBits)); err != nil {
+			// No writer packs onto a grid whose float32 levels collapse.
+			return nil, corruptf("quantized clip %v: %v", clip, err)
+		}
 	}
 
 	if rows < 0 || cols < 0 || rows > math.MaxInt/8/max(cols, 1) {
@@ -408,24 +426,32 @@ func DecodeBinary(data []byte) (*embedding.Embedding, error) {
 		return nil, corruptf("%d words for %d rows", len(words), rows)
 	}
 
-	var vals []float64
+	meta := embedding.Meta{
+		Algorithm: algo, Corpus: corp, Dim: metaDim, Seed: seed, Precision: prec, Clip: clip,
+	}
 	if kind == Quantized {
+		// The packed payload becomes the embedding's codes as it is: the
+		// read path serves them without packing the rows again. They get
+		// their own copy of the bytes, so they pin neither the header nor
+		// the vocabulary of the file buffer (nor a mapping's pages).
 		codes := &matrix.Codes{
 			Rows: rows, Cols: cols, Bits: codeBits,
 			Levels:   compress.Levels(clip, codeBits),
 			RowBytes: codeRowBytes(cols, codeBits),
-			Data:     data[payloadOff:],
+			Data:     make([]byte, len(data)-payloadOff),
 		}
-		vals = codes.Dense().Data
-	} else {
-		vals = decodePayload(data[payloadOff:], rows*cols, kind)
+		copy(codes.Data, data[payloadOff:])
+		if err := codes.CheckPadding(); err != nil {
+			return nil, corruptf("non-canonical quantized payload: %v", err)
+		}
+		e := &embedding.Embedding{Vectors: codes.Dense(), Words: words, Meta: meta}
+		e.SetPackedCodes(codes)
+		return e, nil
 	}
 	return &embedding.Embedding{
-		Vectors: matrix.NewDenseData(rows, cols, vals),
+		Vectors: matrix.NewDenseData(rows, cols, decodePayload(data[payloadOff:], rows*cols, kind)),
 		Words:   words,
-		Meta: embedding.Meta{
-			Algorithm: algo, Corpus: corp, Dim: metaDim, Seed: seed, Precision: prec, Clip: clip,
-		},
+		Meta:    meta,
 	}, nil
 }
 

@@ -3,12 +3,15 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
 
 	"anchor/internal/compress"
 	"anchor/internal/embedding"
+	"anchor/internal/matrix"
 )
 
 // quantTestEmbedding returns a b-bit quantized embedding with metadata and
@@ -160,4 +163,109 @@ func TestDecodeBinaryCorruptQuantizedHeader(t *testing.T) {
 		binary.LittleEndian.PutUint32(d[4:8], 1)
 		return d
 	})
+}
+
+// TestDecodeBinaryRejectsNonCanonicalPadding: the carried codes must be
+// byte-identical to the canonical packing of the decoded values, so a
+// quantized payload whose row padding bits are not zero is corrupt even
+// when its checksum vouches for the bytes — and in a version-2 artifact,
+// which carries no checksum at all.
+func TestDecodeBinaryRejectsNonCanonicalPadding(t *testing.T) {
+	const rows, cols, bits = 6, 5, 3 // 15 bits per row: 1 pad bit
+	e := quantTestEmbedding(t, rows, cols, bits)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, e, Quantized); err != nil {
+		t.Fatal(err)
+	}
+	payloadOff := int(binary.LittleEndian.Uint64(buf.Bytes()[56:64]))
+	rowBytes := (cols*bits + 7) / 8
+	flipPad := func() []byte {
+		d := append([]byte(nil), buf.Bytes()...)
+		d[payloadOff+3*rowBytes-1] |= 0x80 // row 2's last byte, top bit
+		return d
+	}
+
+	v3 := flipPad()
+	d := crc32.New(castagnoli)
+	d.Write(v3[:76])
+	d.Write([]byte{0, 0, 0, 0})
+	d.Write(v3[80:])
+	binary.LittleEndian.PutUint32(v3[76:80], d.Sum32())
+
+	v2 := flipPad()
+	binary.LittleEndian.PutUint32(v2[4:8], 2)
+	binary.LittleEndian.PutUint32(v2[76:80], 0)
+
+	for name, data := range map[string][]byte{"v3 with checksum recomputed": v3, "v2": v2} {
+		if _, err := DecodeBinary(data); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: decode err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	// The same v2 artifact without the flipped bit decodes.
+	clean := append([]byte(nil), buf.Bytes()...)
+	binary.LittleEndian.PutUint32(clean[4:8], 2)
+	binary.LittleEndian.PutUint32(clean[76:80], 0)
+	got, err := DecodeBinary(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	embEqualBits(t, e, got)
+}
+
+// TestDecodeBinaryCarriesPackedCodes: a quantized payload comes back as
+// the embedding's packed codes, byte for byte what packing the decoded
+// rows yields, in a buffer of their own; other kinds carry none.
+func TestDecodeBinaryCarriesPackedCodes(t *testing.T) {
+	for _, bits := range []int{1, 2, 4, 8} {
+		e := quantTestEmbedding(t, 9, 13, bits)
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, e, Quantized); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		got, err := DecodeBinary(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := got.PackedCodes()
+		if c == nil {
+			t.Fatalf("bits=%d: quantized decode carries no codes", bits)
+		}
+		want, err := matrix.NewCodesFromDense(got.Vectors, compress.Levels(got.Meta.Clip, bits), bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(c.Data, want.Data) || c.Bits != bits || c.Rows != 9 || c.Cols != 13 {
+			t.Fatalf("bits=%d: carried codes differ from packing the decoded rows", bits)
+		}
+		if len(c.Data) != cap(c.Data) || &c.Data[0] == &data[len(data)-len(c.Data)] {
+			t.Fatalf("bits=%d: carried codes alias the artifact buffer", bits)
+		}
+	}
+	f32, err := DecodeBinary(fuzzArtifact(4, 3, true, Float32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f32.PackedCodes() != nil {
+		t.Fatal("float32 decode carries codes")
+	}
+}
+
+// TestDecodeBinaryRejectsDegenerateLevelGrid: a clip so small that its
+// float32 levels merge describes no code grid, so no writer produced
+// it; a version-2 artifact (no checksum) carrying one is corrupt rather
+// than an embedding whose re-encode or load would trip over the grid.
+func TestDecodeBinaryRejectsDegenerateLevelGrid(t *testing.T) {
+	e := quantTestEmbedding(t, 4, 5, 3)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, e, Quantized); err != nil {
+		t.Fatal(err)
+	}
+	d := append([]byte(nil), buf.Bytes()...)
+	binary.LittleEndian.PutUint32(d[4:8], 2)
+	binary.LittleEndian.PutUint32(d[76:80], 0)
+	binary.LittleEndian.PutUint64(d[64:72], math.Float64bits(1e-300))
+	if _, err := DecodeBinary(d); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("decode err = %v, want ErrCorrupt", err)
+	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"io"
 	"math"
@@ -8,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"anchor/internal/compress"
 	"anchor/internal/embedding"
+	"anchor/internal/matrix"
 )
 
 // fuzzArtifact builds a valid encoded artifact without *testing.T so it
@@ -35,6 +38,27 @@ func fuzzArtifact(rows, cols int, f32exact bool, kind ElemKind) []byte {
 	return []byte(buf.String())
 }
 
+// fuzzQuantArtifact builds a valid b-bit quantized artifact, its values
+// on the level grid through the real compress path.
+func fuzzQuantArtifact(rows, cols, bits int) []byte {
+	e := embedding.New(rows, cols)
+	rng := rand.New(rand.NewSource(int64(bits)))
+	for i := range e.Vectors.Data {
+		e.Vectors.Data[i] = rng.NormFloat64()
+	}
+	e.Words = make([]string, rows)
+	for i := range e.Words {
+		e.Words[i] = "q" + string(rune('a'+i%26))
+	}
+	e.Meta = embedding.Meta{Algorithm: "mc", Corpus: "wiki18", Dim: cols, Seed: 3, Precision: 32}
+	q := compress.Quantize(e, bits, compress.OptimalClip(e.Vectors.Data, bits))
+	var buf strings.Builder
+	if err := WriteBinary(&buf, q, Quantized); err != nil {
+		panic(err)
+	}
+	return []byte(buf.String())
+}
+
 // FuzzDecodeBinary throws arbitrary, corrupt, and truncated bytes at the
 // binary-artifact decoder. The decoder's contract under damage is the
 // repo-wide degradation contract in miniature: decode cleanly and
@@ -46,6 +70,11 @@ func FuzzDecodeBinary(f *testing.F) {
 	f.Add(valid)
 	f.Add(fuzzArtifact(8, 3, true, Float32))
 	f.Add([]byte{})
+	// Quantized payloads, cols not a multiple of 8 so rows end in padding
+	// bits at every width but 8.
+	for _, bits := range []int{1, 3, 8} {
+		f.Add(fuzzQuantArtifact(6, 5, bits))
+	}
 	// The corrupt fixtures from TestBinaryRejectsCorrupt seed the corpus
 	// so the fuzzer starts at every rejection branch.
 	mutate := func(m func([]byte) []byte) { f.Add(m(append([]byte(nil), valid...))) }
@@ -95,6 +124,21 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 		if err := WriteBinary(io.Discard, e, PickKind(e)); err != nil {
 			t.Fatalf("re-encode of successfully decoded artifact failed: %v", err)
+		}
+		// A quantized decode hands its payload on as the embedding's
+		// codes; they must be exactly what packing the decoded rows gives.
+		c := e.PackedCodes()
+		if (c != nil) != (ElemKind(binary.LittleEndian.Uint32(data[8:12])) == Quantized) {
+			t.Fatalf("kind %d decoded with codes %v", binary.LittleEndian.Uint32(data[8:12]), c != nil)
+		}
+		if c != nil {
+			want, err := matrix.NewCodesFromDense(e.Vectors, compress.Levels(e.Meta.Clip, e.Meta.Precision), e.Meta.Precision)
+			if err != nil {
+				t.Fatalf("decoded quantized rows are off their grid: %v", err)
+			}
+			if !bytes.Equal(c.Data, want.Data) {
+				t.Fatal("carried codes differ from packing the decoded rows")
+			}
 		}
 	})
 }

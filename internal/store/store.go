@@ -416,7 +416,7 @@ func (s *Store) loadDisk(k Key) *embedding.Embedding {
 		// binary), best-effort. A transient binary read error skips this:
 		// the artifact on disk may be fine.
 		if err := s.writeAtomic(k, s.binPath(k), func(w *os.File) error {
-			return WriteBinary(w, e, PickKind(e))
+			return writePicked(w, e)
 		}); err != nil {
 			s.persistErrs.Add(1)
 		}
@@ -441,7 +441,7 @@ func (s *Store) quarantine(path string) {
 // concurrent readers and crashed writers never observe a torn file.
 func (s *Store) saveDisk(k Key, e *embedding.Embedding) error {
 	if err := s.writeAtomic(k, s.binPath(k), func(w *os.File) error {
-		return WriteBinary(w, e, PickKind(e))
+		return writePicked(w, e)
 	}); err != nil {
 		return err
 	}
